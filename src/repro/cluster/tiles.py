@@ -42,13 +42,13 @@ def required_ghost(unit: float, *, rtol: float | None = None,
     the reaching node's own neighborhood, so its radius is computed from
     the full (global) neighbor set.
     """
-    from repro.interference import receiver
+    from repro.interference.coverage import ATOL, RTOL, effective_radius
 
-    if rtol is None:
-        rtol = receiver.RTOL
-    if atol is None:
-        atol = receiver.ATOL
-    return unit * (1.0 + rtol) + atol + unit
+    return effective_radius(
+        unit,
+        rtol=RTOL if rtol is None else rtol,
+        atol=ATOL if atol is None else atol,
+    ) + unit
 
 
 def factor_tiles(k: int) -> tuple[int, int]:

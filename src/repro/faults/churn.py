@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.faults.plan import ChurnEvent, ChurnSchedule
 from repro.interference.incremental import InterferenceTracker
-from repro.interference.receiver import ATOL, RTOL
+from repro.interference.coverage import ATOL, RTOL, disk_covers
 from repro.interference.robustness import (
     StabilityRecord,
     StabilitySummary,
@@ -269,8 +269,9 @@ class ChurnEngine:
         # the new node's own-disk coverage over the universe (paper: <= 1
         # per victim by construction — it is one disk)
         r_j = self._radius_of(j)
-        d_all = np.hypot(*(self.positions - self.positions[j]).T)
-        own_disk = (d_all <= r_j * (1.0 + self._rtol) + self._atol).astype(np.int64)
+        own_disk = disk_covers(
+            self.positions, self.positions[j], r_j, rtol=self._rtol, atol=self._atol
+        ).astype(np.int64)
         own_disk[j] = 0
         return self._record(
             index, "join", j, before, own_disk=own_disk, straggler=event.straggler

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.highway.linear import highway_order
-from repro.interference.receiver import ATOL, RTOL
+from repro.interference.coverage import ATOL, RTOL, effective_radius
 from repro.model.topology import Topology
 from repro.utils import check_positions
 
@@ -53,12 +53,10 @@ def a_exp(
         exactly those with ``d <= r_eff`` — the newly covered ones lie in
         the half-open annulus between the old and new effective radius.
         """
-        old_eff = radii[u] * (1.0 + rtol) + atol
-        new_eff = new_radius * (1.0 + rtol) + atol
         d = np.hypot(x[:, 0] - x[u, 0], x[:, 1] - x[u, 1])
-        newly = d <= new_eff
+        newly = d <= effective_radius(new_radius, rtol=rtol, atol=atol)
         if has_edge[u]:
-            newly &= d > old_eff
+            newly &= d > effective_radius(radii[u], rtol=rtol, atol=atol)
         newly[u] = False
         counts[newly] += 1
         radii[u] = new_radius

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.highway.linear import linear_chain
-from repro.interference.receiver import ATOL, RTOL, node_interference
+from repro.interference.coverage import ATOL, RTOL, effective_radius
+from repro.interference.receiver import node_interference
 from repro.model.topology import Topology
 from repro.utils import check_positions
 
@@ -35,7 +36,7 @@ def critical_set(
         duv = float(np.hypot(*(pos[u] - pos[v])))
         for w in chain.neighbors(u):
             duw = float(np.hypot(*(pos[u] - pos[w])))
-            if duw * (1.0 + rtol) + atol >= duv:
+            if effective_radius(duw, rtol=rtol, atol=atol) >= duv:
                 out.append(u)
                 break
     return np.array(sorted(out), dtype=np.int64)

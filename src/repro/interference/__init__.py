@@ -1,5 +1,7 @@
 """Interference measures — the paper's core contribution plus baselines.
 
+- :mod:`repro.interference.coverage` — the one coverage predicate
+  (``v in D(u, r_u)``) every layer counts with.
 - :mod:`repro.interference.receiver` — the paper's receiver-centric measure
   (Definitions 3.1/3.2): how many other nodes can disturb a given node.
 - :mod:`repro.interference.sender` — the sender-centric edge-coverage

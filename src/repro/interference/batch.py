@@ -10,10 +10,10 @@ buckets derived from one ``argsort``): window enumeration, candidate
 expansion and the ``hypot`` coverage predicate are each a single
 vectorized operation over every (query, candidate) pair at once.
 
-Equivalence contract: the predicate is byte-for-byte the brute kernel's
-(``hypot(dx, dy) <= r_u * (1 + rtol) + atol``), so ``batch == grid ==
-brute == naive`` bit-for-bit on every instance family (asserted by the
-property suites).
+Equivalence contract: the predicate is byte-for-byte the brute kernel's,
+the ``hypot`` form of :mod:`repro.interference.coverage`, so ``batch ==
+grid == brute == naive`` bit-for-bit on every instance family (asserted
+by the property and parity suites).
 
 Backends
 --------
@@ -192,31 +192,33 @@ def node_interference_many(
     brute kernel instead, still inside this one call.
     """
     from repro.interference import receiver
+    from repro.interference.coverage import ATOL, RTOL, effective_radius
 
     if rtol is None:
-        rtol = receiver.RTOL
+        rtol = RTOL
     if atol is None:
-        atol = receiver.ATOL
+        atol = ATOL
     topologies = list(topologies)
     results: list[np.ndarray | None] = [None] * len(topologies)
     fused: list[int] = []
-    preps: dict[int, float] = {}
+    preps: dict[int, tuple[float, np.ndarray]] = {}
     total_n = 0
     for i, topo in enumerate(topologies):
         if topo.n == 0:
             results[i] = np.empty(0, dtype=np.int64)
             continue
+        r_eff = effective_radius(topo.radii, rtol=rtol, atol=atol)
         cell = receiver._grid_cell_size(
             topo.positions,
             topo.radii,
-            topo.radii * (1.0 + rtol) + atol,
+            r_eff,
             topo.n,
             counter_prefix="interference.batch_many",
         )
         if cell is None:
-            results[i] = receiver._interference_brute(topo, rtol, atol)
+            results[i] = receiver._brute_counts(topo.positions, r_eff)
             continue
-        preps[i] = cell
+        preps[i] = (cell, r_eff)
         fused.append(i)
         total_n += topo.n
     if not fused:
@@ -236,8 +238,7 @@ def node_interference_many(
         for i in fused:
             topo = topologies[i]
             pos = topo.positions
-            r_eff = topo.radii * (1.0 + rtol) + atol
-            cell = preps[i]
+            cell, r_eff = preps[i]
             origin = pos.min(axis=0)
             cells = np.floor((pos - origin) / cell).astype(np.int64)
             max_cx = int(cells[:, 0].max())

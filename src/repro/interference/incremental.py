@@ -7,9 +7,9 @@ one radius at a time, which only moves coverage inside a single annulus.
 radius changes in O(n) per update, in both directions (growth *and*
 shrinkage, unlike the one-shot bookkeeping inside ``a_exp``).
 
-The tracker is deliberately radius-centric: per the model reduction used
-throughout this library (see ``repro.exact``), interference depends on the
-edge set only through each node's farthest-neighbour radius.
+The tracker is deliberately radius-centric: interference depends on the
+edge set only through each node's farthest-neighbour radius, and coverage
+is the one predicate of :mod:`repro.interference.coverage`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.interference.receiver import ATOL, RTOL
+from repro.interference.coverage import ATOL, RTOL, disk_covers
 from repro.model.topology import Topology
 from repro.utils import check_positions, check_radii
 
@@ -69,11 +69,10 @@ class InterferenceTracker:
     def _covered_by(self, u: int, radius: float, active: bool) -> np.ndarray:
         if not active:
             return np.zeros(self.n, dtype=bool)
-        d = np.hypot(
-            self.positions[:, 0] - self.positions[u, 0],
-            self.positions[:, 1] - self.positions[u, 1],
+        mask = disk_covers(
+            self.positions, self.positions[u], radius,
+            rtol=self._rtol, atol=self._atol,
         )
-        mask = d <= radius * (1.0 + self._rtol) + self._atol
         mask[u] = False
         return mask
 

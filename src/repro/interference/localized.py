@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.interference.receiver import ATOL, RTOL
+from repro.interference.coverage import ATOL, RTOL, effective_radius
 from repro.model.topology import Topology
 
 
@@ -56,7 +56,7 @@ def localized_interference(
         # node v interrogates only its own UDG neighbourhood
         for u in udg.neighbors(v):
             d = float(np.hypot(*(pos[u] - pos[v])))
-            if d <= radii[u] * (1.0 + rtol) + atol:
+            if d <= effective_radius(radii[u], rtol=rtol, atol=atol):
                 counts[v] += 1
     return counts
 

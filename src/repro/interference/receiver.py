@@ -9,10 +9,9 @@ i.e. the number of *other* nodes whose transmission disk covers ``v`` —
 "by how many other nodes can v be disturbed". The graph interference is
 ``I(G') = max_v I(v)``.
 
-Floating point: coverage tests use ``d(u, v) <= r_u * (1 + rtol) + atol``
-with tiny default tolerances so that exact geometric constructions (e.g.
-the exponential chain, where a radius equals a node distance exactly) are
-classified consistently.
+Coverage is decided by the one predicate of
+:mod:`repro.interference.coverage` (``hypot(d) <= r_u * (1 + RTOL) +
+ATOL``); this module only counts with it.
 
 Kernels follow the HPC guides: ``method="brute"`` is a blocked, fully
 vectorized O(n^2) pass; ``method="grid"`` probes the spatial index one
@@ -20,10 +19,10 @@ node at a time; ``method="batch"`` (:mod:`repro.interference.batch`)
 answers every disk query in fused array passes over the grid's CSR
 layout — the default above :data:`AUTO_BATCH_MIN_N` nodes;
 ``node_interference_naive`` is the pure-Python reference used in tests
-and performance benchmarks. All kernels share one coverage predicate and
-agree bit-for-bit on every instance family (the property suites assert
-it), including degenerate ones: a zero-radius node still covers nodes at
-distance exactly zero, in every kernel.
+and performance benchmarks. All kernels use that predicate and agree
+bit-for-bit on every instance family (the property and parity suites
+assert it), including degenerate ones: a zero-radius node still covers
+nodes at distance exactly zero, in every kernel.
 """
 
 from __future__ import annotations
@@ -35,21 +34,8 @@ import numpy as np
 from repro import obs
 from repro.geometry.spatial import GridIndex
 from repro.interference.batch import batch_covered_counts
+from repro.interference.coverage import ATOL, RTOL, cover_blocks, effective_radius
 from repro.model.topology import Topology
-
-#: Default relative tolerance for disk-coverage tests.
-RTOL = 1e-9
-#: Default absolute tolerance for disk-coverage tests. Zero on purpose: the
-#: adversarial instances (normalized exponential chains) have inter-node
-#: gaps far below any fixed absolute epsilon, and radii/distances are
-#: computed by the same hypot kernel so exact-equality cases match bitwise.
-ATOL = 0.0
-
-#: Row/column block edge for the O(n^2) kernels. Blocking BOTH axes keeps
-#: the peak transient at ~3 float64 blocks (~25 MB) regardless of n; the
-#: old row-only chunking materialized a ``(chunk, n, 2)`` diff — ~1.6 GB
-#: per chunk at n = 10^5, defeating the chunking's purpose.
-_CHUNK = 1024
 
 #: ``method="auto"`` switches from the vectorized O(n^2) kernel to the
 #: fused batch kernel above this node count. Calibrated on the
@@ -98,7 +84,15 @@ def node_interference(
     above; the grid-backed kernels degrade gracefully to brute on
     instances they cannot prune).
     """
-    n = topology.n
+    return _counts(topology.positions, topology.radii, method, rtol, atol)
+
+
+def _counts(
+    pos: np.ndarray, radii: np.ndarray, method: str, rtol: float, atol: float
+) -> np.ndarray:
+    """The kernel dispatch behind :func:`node_interference` and
+    :func:`repro.interference.coverage.covered_counts`."""
+    n = pos.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
     if method == "auto":
@@ -107,35 +101,28 @@ def node_interference(
         raise ValueError(f"unknown method {method!r}")
     with obs.span("interference.node", n=n, method=method):
         obs.count(f"interference.method.{method}")
-        if method == "brute":
-            return _interference_brute(topology, rtol, atol)
-        if method == "grid":
-            return _interference_grid(topology, rtol, atol)
-        return _interference_batch(topology, rtol, atol)
+        r_eff = effective_radius(radii, rtol=rtol, atol=atol)
+        if method != "brute":
+            cell = _grid_cell_size(
+                pos, radii, r_eff, n, counter_prefix=f"interference.{method}"
+            )
+            if cell is not None:
+                index = GridIndex(pos, cell_size=cell)
+                if method == "batch":
+                    return batch_covered_counts(index, r_eff)
+                counts = np.zeros(n, dtype=np.int64)
+                for u in range(n):
+                    # zero-radius nodes still cover nodes at distance 0
+                    counts[index.query_point(u, float(r_eff[u]))] += 1
+                return counts
+        return _brute_counts(pos, r_eff)
 
 
-def _interference_brute(topology: Topology, rtol: float, atol: float) -> np.ndarray:
-    pos = topology.positions
-    r_eff = topology.radii * (1.0 + rtol) + atol
-    n = pos.shape[0]
-    x = np.ascontiguousarray(pos[:, 0])
-    y = np.ascontiguousarray(pos[:, 1])
-    counts = np.zeros(n, dtype=np.int64)
-    for rs in range(0, n, _CHUNK):
-        re = min(rs + _CHUNK, n)
-        for cs in range(0, n, _CHUNK):
-            ce = min(cs + _CHUNK, n)
-            # rows: potential interferers u; cols: victims v. Per-axis
-            # deltas (never a 3-D diff) keep the transient at block size.
-            dx = x[rs:re, None] - x[None, cs:ce]
-            dy = y[rs:re, None] - y[None, cs:ce]
-            d = np.hypot(dx, dy)
-            covered = d <= r_eff[rs:re, None]
-            if rs == cs:
-                # never count self-interference
-                idx = np.arange(re - rs)
-                covered[idx, idx] = False
-            counts[cs:ce] += covered.sum(axis=0)
+def _brute_counts(pos: np.ndarray, r_eff: np.ndarray) -> np.ndarray:
+    """Blocked O(n^2) pass: column sums of the covers relation."""
+    counts = np.zeros(pos.shape[0], dtype=np.int64)
+    for _, cols, block in cover_blocks(pos, r_eff):
+        counts[cols] += block.sum(axis=0)
     return counts
 
 
@@ -179,40 +166,6 @@ def _grid_cell_size(
         obs.count(f"{counter_prefix}.fallback_coverage")
         return None
     return cell
-
-
-def _interference_grid(topology: Topology, rtol: float, atol: float) -> np.ndarray:
-    pos = topology.positions
-    radii = topology.radii
-    r_eff = radii * (1.0 + rtol) + atol
-    n = topology.n
-    cell = _grid_cell_size(pos, radii, r_eff, n)
-    if cell is None:
-        return _interference_brute(topology, rtol, atol)
-    index = GridIndex(pos, cell_size=cell)
-    counts = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        # NB: zero-radius nodes are still transmitters — they cover nodes
-        # at distance exactly 0 (coincident), the same ``d <= r_eff``
-        # predicate every other kernel applies. Skipping them made grid
-        # disagree with brute/naive on coincident-node instances.
-        hits = index.query_point(u, float(r_eff[u]))
-        counts[hits] += 1
-    return counts
-
-
-def _interference_batch(topology: Topology, rtol: float, atol: float) -> np.ndarray:
-    pos = topology.positions
-    radii = topology.radii
-    r_eff = radii * (1.0 + rtol) + atol
-    n = topology.n
-    cell = _grid_cell_size(
-        pos, radii, r_eff, n, counter_prefix="interference.batch"
-    )
-    if cell is None:
-        return _interference_brute(topology, rtol, atol)
-    index = GridIndex(pos, cell_size=cell)
-    return batch_covered_counts(index, r_eff)
 
 
 def node_interference_naive(
@@ -278,24 +231,10 @@ def coverage_counts(topology: Topology, *, rtol: float = RTOL, atol: float = ATO
     The second vector is the node's "footprint" — useful for diagnosing
     which nodes dominate interference (hubs in the highway constructions).
     """
-    pos = topology.positions
-    r_eff = topology.radii * (1.0 + rtol) + atol
-    n = topology.n
-    x = np.ascontiguousarray(pos[:, 0])
-    y = np.ascontiguousarray(pos[:, 1])
-    interferers = np.zeros(n, dtype=np.int64)
-    covered = np.zeros(n, dtype=np.int64)
-    for rs in range(0, n, _CHUNK):
-        re = min(rs + _CHUNK, n)
-        for cs in range(0, n, _CHUNK):
-            ce = min(cs + _CHUNK, n)
-            dx = x[rs:re, None] - x[None, cs:ce]
-            dy = y[rs:re, None] - y[None, cs:ce]
-            d = np.hypot(dx, dy)
-            cov = d <= r_eff[rs:re, None]
-            if rs == cs:
-                idx = np.arange(re - rs)
-                cov[idx, idx] = False
-            interferers[cs:ce] += cov.sum(axis=0)
-            covered[rs:re] += cov.sum(axis=1)
+    r_eff = effective_radius(topology.radii, rtol=rtol, atol=atol)
+    interferers = np.zeros(topology.n, dtype=np.int64)
+    covered = np.zeros(topology.n, dtype=np.int64)
+    for rows, cols, block in cover_blocks(topology.positions, r_eff):
+        interferers[cols] += block.sum(axis=0)
+        covered[rows] += block.sum(axis=1)
     return interferers, covered

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.interference.receiver import ATOL, RTOL, node_interference
+from repro.interference.coverage import ATOL, RTOL, disk_covers
+from repro.interference.receiver import node_interference
 from repro.interference.sender import sender_interference
 from repro.model.topology import Topology
 
@@ -76,17 +77,15 @@ def addition_report(
 
     pos = after.positions
     new_r = after.radii[n]
-    d_new = np.hypot(*(pos[:n] - pos[n]).T)
-    new_contrib = (d_new <= new_r * (1.0 + rtol) + atol).astype(np.int64)
+    tol = {"rtol": rtol, "atol": atol}
+    new_contrib = disk_covers(pos[:n], pos[n], new_r, **tol).astype(np.int64)
 
     growth = np.zeros(n, dtype=np.int64)
     r_old = topology.radii
     r_new = after.radii[:n]
     for u in np.nonzero(r_new > r_old)[0]:
-        d_u = np.hypot(*(pos[:n] - pos[u]).T)
-        was = d_u <= r_old[u] * (1.0 + rtol) + atol
-        now = d_u <= r_new[u] * (1.0 + rtol) + atol
-        newly = now & ~was
+        was = disk_covers(pos[:n], pos[u], r_old[u], **tol)
+        newly = disk_covers(pos[:n], pos[u], r_new[u], **tol) & ~was
         newly[u] = False
         growth += newly.astype(np.int64)
 

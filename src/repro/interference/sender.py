@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.interference.receiver import ATOL, RTOL
+from repro.interference.coverage import ATOL, RTOL, disk_covers
 from repro.model.topology import Topology
 
 
@@ -35,14 +35,10 @@ def edge_coverage(
     if m == 0:
         return out
     lengths = topology.edge_lengths
-    thresh = lengths * (1.0 + rtol) + atol
     for k in range(m):
         u, v = edges[k]
-        du = pos - pos[u]
-        dv = pos - pos[v]
-        in_u = np.hypot(du[:, 0], du[:, 1]) <= thresh[k]
-        in_v = np.hypot(dv[:, 0], dv[:, 1]) <= thresh[k]
-        covered = in_u | in_v
+        covered = disk_covers(pos, pos[u], lengths[k], rtol=rtol, atol=atol)
+        covered |= disk_covers(pos, pos[v], lengths[k], rtol=rtol, atol=atol)
         if not include_endpoints:
             covered[u] = False
             covered[v] = False

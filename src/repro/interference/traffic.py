@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.interference.receiver import ATOL, RTOL
+from repro.interference.coverage import ATOL, RTOL, disk_covers
 from repro.model.topology import Topology
 
 
@@ -35,13 +35,12 @@ def traffic_interference(
     if np.any(loads < 0):
         raise ValueError("loads must be non-negative")
     pos = topology.positions
-    r_eff = topology.radii * (1.0 + rtol) + atol
+    radii = topology.radii
     out = np.zeros(topology.n, dtype=np.float64)
     for u in range(topology.n):
         if loads[u] == 0:
             continue
-        d = np.hypot(*(pos - pos[u]).T)
-        covered = d <= r_eff[u]
+        covered = disk_covers(pos, pos[u], radii[u], rtol=rtol, atol=atol)
         covered[u] = False
         out[covered] += loads[u]
     return out

@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.interference.receiver import RTOL
+from repro.geometry.points import distance_matrix
+from repro.interference.coverage import covers_matrix
 from repro.mac.policies import BackoffPolicy, BackoffState, make_policy
 from repro.model.topology import Topology
 from repro.sim.engine import Simulator  # noqa: F401  (re-exported substrate)
@@ -235,11 +236,7 @@ class MacSimulator:
             np.array(sorted(topology.neighbors(u)), dtype=np.int64)
             for u in range(n)
         ]
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        self._covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-        np.fill_diagonal(self._covers, False)
+        self._covers = covers_matrix(topology.positions, topology.radii)
         if self.config.capture == "sinr":
             cfg = self.config
             self._power = (
@@ -249,7 +246,7 @@ class MacSimulator:
                 * np.maximum(topology.radii, 1e-300) ** cfg.alpha
             )
             self._power[topology.degrees == 0] = 0.0
-            d_inf = d.copy()
+            d_inf = distance_matrix(topology.positions)
             np.fill_diagonal(d_inf, np.inf)
             self._gain = d_inf**-cfg.alpha
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.interference.receiver import RTOL
+from repro.interference.coverage import covers_matrix
 from repro.mac.policies import BackoffPolicy, BackoffState, make_policy
 from repro.model.topology import Topology
 from repro.utils import as_generator
@@ -87,11 +87,7 @@ class SaturatedAlohaSimulator:
             np.array(sorted(topology.neighbors(u)), dtype=np.int64)
             for u in range(n)
         ]
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        self._covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-        np.fill_diagonal(self._covers, False)
+        self._covers = covers_matrix(topology.positions, topology.radii)
 
     def run(self, n_slots: int, *, seed=None) -> SaturatedResult:
         if n_slots < 0:

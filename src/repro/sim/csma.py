@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.interference.receiver import RTOL
+from repro.interference.coverage import covers_matrix
 from repro.model.topology import Topology
 from repro.sim.engine import Simulator
 from repro.utils import as_generator
@@ -76,11 +76,7 @@ class CsmaSimulator(Simulator):
             np.array(sorted(topology.neighbors(u)), dtype=np.int64)
             for u in range(n)
         ]
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        self._covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-        np.fill_diagonal(self._covers, False)
+        self._covers = covers_matrix(topology.positions, topology.radii)
 
         self.attempts = np.zeros(n, dtype=np.int64)
         self.rx_ok = np.zeros(n, dtype=np.int64)

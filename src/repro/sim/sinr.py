@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.geometry.points import distance_matrix
 from repro.model.topology import Topology
 from repro.utils import as_generator
 
@@ -100,9 +101,7 @@ class SinrSlottedSimulator:
             * np.maximum(topology.radii, 1e-300) ** self.alpha
         )
         self._power[topology.degrees == 0] = 0.0
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
+        d = distance_matrix(topology.positions)
         np.fill_diagonal(d, np.inf)  # no self-reception; avoids 0**-alpha
         self._gain = d**-self.alpha  # gain[u, v]: path gain u -> v
 

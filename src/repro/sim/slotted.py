@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.interference.receiver import RTOL
+from repro.interference.coverage import covers_matrix
 from repro.model.topology import Topology
 from repro.utils import as_generator
 
@@ -83,12 +83,7 @@ class SlottedAlohaSimulator:
             np.array(sorted(topology.neighbors(u)), dtype=np.int64)
             for u in range(n)
         ]
-        # covers[u, v]: u's disk covers v (self excluded)
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        self._covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-        np.fill_diagonal(self._covers, False)
+        self._covers = covers_matrix(topology.positions, topology.radii)
 
     def run(self, n_slots: int, *, seed=None) -> SlottedResult:
         """Run ``n_slots`` slots; all randomness comes from ``seed``."""
@@ -158,11 +153,7 @@ class GatherSimulator:
             raise ValueError("parent must have one entry per node")
         self.p = float(p)
         self.source_period = int(source_period)
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        self._covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-        np.fill_diagonal(self._covers, False)
+        self._covers = covers_matrix(topology.positions, topology.radii)
 
     def run(self, n_slots: int, *, seed=None) -> dict:
         rng = as_generator(seed)

@@ -8,8 +8,8 @@ that into a crash-safe streaming subsystem:
 - :mod:`repro.stream.events`   — typed ``join``/``leave``/``move`` events
   and seeded workload generators;
 - :mod:`repro.stream.engine`   — :class:`StreamEngine`, the in-memory
-  incremental engine (spatial hash, O(neighbourhood) per event, exact
-  arithmetic);
+  incremental engine (spatial hash, O(neighbourhood) per event, the
+  shared coverage predicate with bit-identical per-event and bulk paths);
 - :mod:`repro.stream.wal`      — the segmented length+SHA-256 framed
   write-ahead log (:class:`SegmentedWal`, rotated ``wal-<seq>.jsonl``
   segments, the :class:`LogStore` storage protocol), with explicit

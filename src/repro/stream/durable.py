@@ -2,7 +2,7 @@
 
 A *stream directory* is the unit of durability::
 
-    <dir>/meta.json                    engine StreamConfig (written at create)
+    <dir>/meta.json                    format + engine StreamConfig
     <dir>/wal-<first_seq>.jsonl        log segments (repro.stream.wal framing)
     <dir>/snapshot-<seq>.json          periodic full-state snapshots
     <dir>/wal.jsonl                    legacy pre-segmentation log (read-only)
@@ -29,6 +29,16 @@ starts *past* ``snapshot.seq + 1`` is a hole no crash can explain
 (compaction never deletes the segment containing the next seqno to
 replay) and raises :class:`~repro.stream.wal.WalCorruption`.
 
+``meta.json`` records the directory format. Format 3 counts coverage
+with the shared predicate of :mod:`repro.interference.coverage`; formats
+1 and 2 stored counts made with the engine's earlier exact, tolerance-free
+test. Counts are derived data, so :meth:`DurableStreamEngine.open`
+upgrades such a directory in place: it recounts every verifying
+snapshot with :func:`~repro.interference.coverage.covered_counts`,
+rewrites it atomically, then rewrites ``meta.json`` atomically.
+Positions, radii, seqnos and the log are untouched, and an upgrade cut
+short by a crash is simply redone on the next open.
+
 Compaction (:meth:`DurableStreamEngine.compact`) deletes sealed segments
 wholly covered by the newest valid snapshot — automatically after every
 :meth:`snapshot_now` under the default ``compact="auto"`` policy, or on
@@ -53,6 +63,8 @@ from repro.stream.engine import AppliedEvent, StreamEngine
 from repro.stream.events import StreamEvent
 from repro.stream.snapshot import (
     latest_snapshot,
+    list_snapshots,
+    load_snapshot,
     newest_snapshot_seq,
     prune_snapshots,
     write_snapshot,
@@ -71,6 +83,9 @@ __all__ = ["DurableStreamEngine", "RecoveryInfo"]
 #: legacy single-file log name; kept as an alias for older callers
 WAL_NAME = LEGACY_WAL_NAME
 META_NAME = "meta.json"
+#: the ``format`` :meth:`DurableStreamEngine.create` writes; ``open``
+#: also reads 1 and 2, upgrading them (see the module docstring)
+META_FORMAT = 3
 
 #: segment size used by the deprecated ``wal_path=`` shim — large enough
 #: that rotation never triggers, i.e. a one-segment store
@@ -117,6 +132,33 @@ class RecoveryInfo:
             "segments_scanned": self.segments_scanned,
             "bytes_scanned": self.bytes_scanned,
         }
+
+
+def _write_meta(directory: Path, config: StreamConfig) -> None:
+    """Write ``meta.json`` at :data:`META_FORMAT` via temp file + rename."""
+    tmp = directory / f".{META_NAME}.tmp"
+    with open(tmp, "w") as f:
+        f.write(
+            json.dumps({"format": META_FORMAT, "config": config.to_jsonable()}, indent=2)
+            + "\n"
+        )
+        f.flush()
+        if config.fsync:
+            os.fsync(f.fileno())
+    os.replace(tmp, directory / META_NAME)
+
+
+def _upgrade_counts(directory: Path, config: StreamConfig) -> None:
+    """Bring a format-1/2 directory to :data:`META_FORMAT`: recount every
+    verifying snapshot under the shared predicate, then rewrite meta."""
+    for seq, path in list_snapshots(directory):
+        payload = load_snapshot(path)
+        if payload is None:
+            continue
+        engine = StreamEngine.from_state(config, json.loads(payload))
+        engine.counts[:] = engine.recompute_counts().tolist()
+        write_snapshot(directory, seq, engine.state_json(), fsync=config.fsync)
+    _write_meta(directory, config)
 
 
 class DurableStreamEngine:
@@ -197,10 +239,7 @@ class DurableStreamEngine:
             raise FileExistsError(
                 f"{directory} already holds a stream (use open())"
             )
-        meta.write_text(
-            json.dumps({"format": 2, "config": config.to_jsonable()}, indent=2)
-            + "\n"
-        )
+        _write_meta(directory, config)
         wal = SegmentedWal(
             directory,
             segment_bytes=config.segment_bytes,
@@ -223,9 +262,16 @@ class DurableStreamEngine:
         meta = directory / META_NAME
         if not meta.exists():
             raise FileNotFoundError(f"{directory} is not a stream directory")
-        config = StreamConfig.from_jsonable(
-            json.loads(meta.read_text())["config"]
-        )
+        doc = json.loads(meta.read_text())
+        fmt = doc.get("format")
+        if type(fmt) is not int or not 1 <= fmt <= META_FORMAT:
+            raise ValueError(
+                f"{meta}: unknown stream format {fmt!r} "
+                f"(this build reads formats 1 to {META_FORMAT})"
+            )
+        config = StreamConfig.from_jsonable(doc["config"])
+        if fmt < META_FORMAT:
+            _upgrade_counts(directory, config)
         with obs.span("stream.recover", dir=str(directory)):
             snap = latest_snapshot(directory)
             snap_seq = snap[0] if snap else 0

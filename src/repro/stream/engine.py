@@ -18,11 +18,17 @@ receiver-centric coverage counts ``I(v)`` under ``join``/``leave``/
   classic cell-size-``r_max`` 3x3 scan while probing the same area.
   This is the O(1)-neighbourhood argument of Korman's bounded-radius
   formulation;
-- coverage uses *exact* squared-distance comparison (``dx*dx + dy*dy <=
-  r*r``, no tolerance): determinism is the point, since recovery must
-  replay to a bit-identical state. :func:`recompute_counts` reproduces
-  the same arithmetic vectorized, so an independent from-scratch recount
-  agrees exactly, not approximately.
+- coverage is the one predicate of :mod:`repro.interference.coverage`,
+  in its squared form: ``dx*dx + dy*dy <= effective_radius(r)**2``, with
+  an exact power-of-two rescale where the squares would underflow. The
+  scalar loop and the bulk path perform the same IEEE operations, so
+  per-event and bulk apply reach bit-identical states — recovery must
+  replay to the same digest. Scan windows reach one more tolerance step,
+  ``effective_radius(effective_radius(r))``, which absorbs the rounding
+  of the coordinate differences. :meth:`StreamEngine.recompute_counts`
+  recounts with the static kernels' :func:`covered_counts`, so it checks
+  the incremental arithmetic against the kernels' predicate rather than
+  against itself.
 
 The engine is deliberately free of any I/O; durability (WAL, snapshots,
 recovery) wraps it in :mod:`repro.stream.durable`.
@@ -35,6 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+from repro.interference.coverage import (
+    SQ_GUARD,
+    covered_counts,
+    covers_squared,
+    covers_squared_array,
+    effective_radius,
+    squared_key,
+)
 from repro.stream.config import StreamConfig
 from repro.stream.events import StreamEvent
 
@@ -72,16 +86,45 @@ _GRID_STRIDE = 1 << 32
 _BULK_MIN_EVENTS = 512
 
 
-def _candidate_pairs(index, centers, radii):
+def _cell_keys(x: float, y: float, reach: float, inv: float) -> tuple:
+    """Hash keys of the grid cells overlapping ``[x - reach, x + reach] x
+    [y - reach, y + reach]``.
+
+    A window narrower than a cell (every engine window: ``2 * reach`` is
+    just over ``2 * r_max``, the cell ``3 * r_max``) spans one or two
+    cells per axis; literal tuples there are ~6x cheaper than the
+    generator expression (no generator frame per event).
+    """
+    S = _GRID_STRIDE
+    cx0 = int((x - reach) * inv)
+    cx1 = int((x + reach) * inv)
+    cy0 = int((y - reach) * inv)
+    cy1 = int((y + reach) * inv)
+    if cx1 - cx0 > 1 or cy1 - cy0 > 1:
+        return tuple(
+            cx * S + cy
+            for cx in range(cx0, cx1 + 1)
+            for cy in range(cy0, cy1 + 1)
+        )
+    b0 = cx0 * S
+    if cx1 == cx0:
+        return (b0 + cy0,) if cy1 == cy0 else (b0 + cy0, b0 + cy1)
+    b1 = b0 + S
+    if cy1 == cy0:
+        return (b0 + cy0, b1 + cy0)
+    return (b0 + cy0, b0 + cy1, b1 + cy0, b1 + cy1)
+
+
+def _candidate_pairs(index, centers, reach):
     """All ``(query, point)`` candidate pairs whose grid cells overlap each
-    query's bounding box — *no* distance predicate applied (the bulk path
-    applies the engine's exact squared-distance test itself, which is why
-    it cannot use :meth:`GridIndex._batch_hits`'s ``hypot`` predicate)."""
+    query's ``±reach`` window — *no* distance predicate applied (the bulk
+    path applies the engine's squared form itself, which is why it cannot
+    use :meth:`GridIndex._batch_hits`'s ``hypot`` form)."""
     m = centers.shape[0]
     if m == 0 or len(index) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    lo_x, hi_x, lo_y, hi_y = index._query_windows(centers, radii)
+    lo_x, hi_x, lo_y, hi_y = index._query_windows(centers, reach)
     qids, cells = index._expand_cells(
         np.arange(m, dtype=np.int64), lo_x, hi_x, lo_y, hi_y
     )
@@ -89,16 +132,17 @@ def _candidate_pairs(index, centers, radii):
 
 
 def _exact_disk_pairs(index, centers, radii):
-    """``(query, point)`` hit pairs under the engine's exact predicate
-    ``dx*dx + dy*dy <= r*r`` (not ``hypot``: replay determinism requires
-    bit-compatibility with the scalar event loop)."""
-    qq, cand = _candidate_pairs(index, centers, radii)
+    """``(query, point)`` pairs where the query's disk of radius ``radii``
+    covers the point, under the squared form of the shared predicate —
+    the scalar event loop's IEEE operations exactly, so bulk and
+    per-event apply stay bit-identical."""
+    re = effective_radius(radii)
+    qq, cand = _candidate_pairs(index, centers, effective_radius(re))
     if qq.size == 0:
         return qq, cand
     dx = index.positions[cand, 0] - centers[qq, 0]
     dy = index.positions[cand, 1] - centers[qq, 1]
-    r = radii[qq]
-    keep = dx * dx + dy * dy <= r * r
+    keep = covers_squared_array(dx, dy, re, qq)
     return qq[keep], cand[keep]
 
 
@@ -111,6 +155,9 @@ class StreamEngine:
         self.xs = [0.0] * cap
         self.ys = [0.0] * cap
         self.rs = [0.0] * cap
+        #: per-node :func:`~repro.interference.coverage.squared_key` of
+        #: the effective radius (meaningful for active nodes only)
+        self.ks = [0.0] * cap
         self.active = bytearray(cap)
         self.counts = [0] * cap
         self.n_active = 0
@@ -121,10 +168,9 @@ class StreamEngine:
         # but the key function only has to be monotone and consistent —
         # a truncation-merged pair of cells is just a merged bucket.
         self._inv = 1.0 / self._cell
-        # scan windows are padded by a hair beyond the exact reach so a
-        # float predicate that rounds *into* the disk can never involve a
-        # node sitting just past an unprobed cell boundary
-        self._pad = self._cell * 1e-9
+        # a join's window: both delta directions are bounded by the
+        # effective radius of r_max, plus one tolerance step for rounding
+        self._reach = effective_radius(effective_radius(float(config.r_max)))
         # cell (cx, cy) -> node list, keyed by cx * _GRID_STRIDE + cy:
         # one int hash instead of a tuple allocation per probe. A |cy| >=
         # _GRID_STRIDE/2 collision merely merges buckets — every
@@ -188,36 +234,23 @@ class StreamEngine:
             raise StreamStateError(
                 f"non-contiguous seq {seq} (engine at {self.seq})"
             )
+        if not collect:
+            return AppliedEvent(self._apply_many_scalar((event,)), event, None)
         kind = event.kind
         if kind == "join":
-            changed = self._apply_join(
-                event.node, event.x, event.y, event.r, collect
-            )
+            changed = self._apply_join(event.node, event.x, event.y, event.r)
         elif kind == "leave":
-            changed = self._apply_leave(event.node, collect)
+            changed = self._apply_leave(event.node)
         else:
-            changed = self._apply_move(
-                event.node, event.x, event.y, event.r, collect
-            )
+            changed = self._apply_move(event.node, event.x, event.y, event.r)
         self.seq += 1
-        return AppliedEvent(
-            self.seq, event, tuple(changed) if changed is not None else None
-        )
+        return AppliedEvent(self.seq, event, tuple(changed))
 
     def apply_fast(self, event: StreamEvent) -> int:
         """Apply one event with no delta collection or result object;
-        returns the event's seqno. The hot ingest path — semantically
-        ``self.apply(event, collect=False).seq``."""
-        kind = event.kind
-        if kind == "join":
-            self._apply_join(event.node, event.x, event.y, event.r, False)
-        elif kind == "leave":
-            self._apply_leave(event.node, False)
-        else:
-            self._apply_move(event.node, event.x, event.y, event.r, False)
-        seq = self.seq + 1
-        self.seq = seq
-        return seq
+        returns the event's seqno — ``self.apply(event,
+        collect=False).seq``."""
+        return self._apply_many_scalar((event,))
 
     def apply_batch(
         self, events, *, collect: bool = False
@@ -262,17 +295,25 @@ class StreamEngine:
         return self._apply_many_scalar(events)
 
     def _apply_many_scalar(self, events) -> int:
-        """The inlined per-event loop (zero per-event allocation)."""
+        """The inlined per-event loop (zero per-event allocation).
+
+        Coverage is ``d2 <= key and (key != SQ_GUARD or
+        covers_squared(...))``: the squared form with its prefilter key,
+        where the second operand only runs on tiny radii.
+        """
         self._np = None
-        xs, ys, rs = self.xs, self.ys, self.rs
+        xs, ys, rs, ks = self.xs, self.ys, self.rs, self.ks
         counts, active, grid = self.counts, self.active, self._grid
         get = grid.get
         inv = self._inv
         cap = self.config.capacity
         r_max = self.config.r_max
-        rpad = r_max + self._pad
-        pad = self._pad
+        reach = self._reach
         S = _GRID_STRIDE
+        G = SQ_GUARD
+        eff, key_of, covers, cell_keys = (
+            effective_radius, squared_key, covers_squared, _cell_keys
+        )
         seq = self.seq
         n_active = self.n_active
         try:
@@ -293,236 +334,65 @@ class StreamEngine:
                         raise StreamStateError(
                             f"join of already-active node {node}"
                         )
-                elif kind == "leave":
+                else:  # leave, or move == atomic leave + join
                     if not active[node]:
-                        raise StreamStateError(f"leave of inactive node {node}")
-                    x, y, r = xs[node], ys[node], rs[node]
-                    grid[int(x * inv) * S + int(y * inv)].remove(node)
-                    r2 = r * r
-                    reach = r + pad
-                    cx0 = int((x - reach) * inv)
-                    cx1 = int((x + reach) * inv)
-                    cy0 = int((y - reach) * inv)
-                    cy1 = int((y + reach) * inv)
-                    dxc = cx1 - cx0
-                    dyc = cy1 - cy0
-                    if dxc > 2 or dyc > 2:
-                        ks = tuple(
-                            cx * S + cy
-                            for cx in range(cx0, cx1 + 1)
-                            for cy in range(cy0, cy1 + 1)
-                        )
-                    else:
-                        # spans of 1-3 cells per axis cover every window up to
-                        # 2*(r_max + pad) wide; literal tuples here are ~6x cheaper
-                        # than the genexpr (no generator frame per event)
-                        b0 = cx0 * S
-                        if dxc == 0:
-                            if dyc == 0:
-                                ks = (b0 + cy0,)
-                            elif dyc == 1:
-                                ks = (b0 + cy0, b0 + cy1)
-                            else:
-                                ks = (b0 + cy0, b0 + cy0 + 1, b0 + cy1)
-                        elif dxc == 1:
-                            b1 = b0 + S
-                            if dyc == 0:
-                                ks = (b0 + cy0, b1 + cy0)
-                            elif dyc == 1:
-                                ks = (b0 + cy0, b0 + cy1, b1 + cy0, b1 + cy1)
-                            else:
-                                cym = cy0 + 1
-                                ks = (
-                                    b0 + cy0, b0 + cym, b0 + cy1,
-                                    b1 + cy0, b1 + cym, b1 + cy1,
-                                )
-                        else:
-                            b1 = b0 + S
-                            b2 = b1 + S
-                            if dyc == 0:
-                                ks = (b0 + cy0, b1 + cy0, b2 + cy0)
-                            elif dyc == 1:
-                                ks = (
-                                    b0 + cy0, b0 + cy1,
-                                    b1 + cy0, b1 + cy1,
-                                    b2 + cy0, b2 + cy1,
-                                )
-                            else:
-                                cym = cy0 + 1
-                                ks = (
-                                    b0 + cy0, b0 + cym, b0 + cy1,
-                                    b1 + cy0, b1 + cym, b1 + cy1,
-                                    b2 + cy0, b2 + cym, b2 + cy1,
-                                )
-                    for k in ks:
-                        bucket = get(k)
-                        if bucket:
-                            for v in bucket:
-                                dx = xs[v] - x
-                                dy = ys[v] - y
-                                if dx * dx + dy * dy <= r2:
-                                    counts[v] -= 1
-                    counts[node] = 0
-                    rs[node] = 0.0
-                    active[node] = 0
-                    n_active -= 1
-                    seq += 1
-                    continue
-                else:  # move == atomic leave + join (kind is validated)
-                    if not active[node]:
-                        raise StreamStateError(f"move of inactive node {node}")
-                    x, y, r = event.x, event.y, event.r
-                    if r is None:
-                        r = rs[node]
-                    if r < 0 or r > r_max:
-                        raise StreamStateError(
-                            f"radius {r} outside [0, r_max={r_max}]"
-                        )
-                    # leave half: retract the old disk's coverage
+                        raise StreamStateError(f"{kind} of inactive node {node}")
+                    if kind == "move":
+                        x, y, r = event.x, event.y, event.r
+                        if r is None:
+                            r = rs[node]
+                        if r < 0 or r > r_max:
+                            raise StreamStateError(
+                                f"radius {r} outside [0, r_max={r_max}]"
+                            )
+                    # retract the old disk's coverage; its own window
+                    # (usually tighter than r_max) bounds the scan
                     ox, oy = xs[node], ys[node]
-                    orr = rs[node]
+                    ore = eff(rs[node])
+                    ok = ks[node]
                     grid[int(ox * inv) * S + int(oy * inv)].remove(node)
-                    r2 = orr * orr
-                    reach = orr + pad
-                    cx0 = int((ox - reach) * inv)
-                    cx1 = int((ox + reach) * inv)
-                    cy0 = int((oy - reach) * inv)
-                    cy1 = int((oy + reach) * inv)
-                    dxc = cx1 - cx0
-                    dyc = cy1 - cy0
-                    if dxc > 2 or dyc > 2:
-                        ks = tuple(
-                            cx * S + cy
-                            for cx in range(cx0, cx1 + 1)
-                            for cy in range(cy0, cy1 + 1)
-                        )
-                    else:
-                        # spans of 1-3 cells per axis cover every window up to
-                        # 2*(r_max + pad) wide; literal tuples here are ~6x cheaper
-                        # than the genexpr (no generator frame per event)
-                        b0 = cx0 * S
-                        if dxc == 0:
-                            if dyc == 0:
-                                ks = (b0 + cy0,)
-                            elif dyc == 1:
-                                ks = (b0 + cy0, b0 + cy1)
-                            else:
-                                ks = (b0 + cy0, b0 + cy0 + 1, b0 + cy1)
-                        elif dxc == 1:
-                            b1 = b0 + S
-                            if dyc == 0:
-                                ks = (b0 + cy0, b1 + cy0)
-                            elif dyc == 1:
-                                ks = (b0 + cy0, b0 + cy1, b1 + cy0, b1 + cy1)
-                            else:
-                                cym = cy0 + 1
-                                ks = (
-                                    b0 + cy0, b0 + cym, b0 + cy1,
-                                    b1 + cy0, b1 + cym, b1 + cy1,
-                                )
-                        else:
-                            b1 = b0 + S
-                            b2 = b1 + S
-                            if dyc == 0:
-                                ks = (b0 + cy0, b1 + cy0, b2 + cy0)
-                            elif dyc == 1:
-                                ks = (
-                                    b0 + cy0, b0 + cy1,
-                                    b1 + cy0, b1 + cy1,
-                                    b2 + cy0, b2 + cy1,
-                                )
-                            else:
-                                cym = cy0 + 1
-                                ks = (
-                                    b0 + cy0, b0 + cym, b0 + cy1,
-                                    b1 + cy0, b1 + cym, b1 + cy1,
-                                    b2 + cy0, b2 + cym, b2 + cy1,
-                                )
-                    for k in ks:
-                        bucket = get(k)
+                    for ck in cell_keys(ox, oy, eff(ore), inv):
+                        bucket = get(ck)
                         if bucket:
                             for v in bucket:
                                 dx = xs[v] - ox
                                 dy = ys[v] - oy
-                                if dx * dx + dy * dy <= r2:
+                                if dx * dx + dy * dy <= ok and (
+                                    ok != G or covers(dx, dy, ore)
+                                ):
                                     counts[v] -= 1
                     active[node] = 0
                     n_active -= 1
+                    if kind == "leave":
+                        counts[node] = 0
+                        rs[node] = 0.0
+                        seq += 1
+                        continue
                 # join (for both "join" and the second half of "move"):
                 # node is not in any bucket here, so the scan never sees
                 # it. Both delta directions are bounded by r_max, so the
-                # window is ±r_max regardless of the joining radius.
-                r2 = r * r
+                # window is the same whatever the joining radius.
+                re = eff(r)
+                k = key_of(re)
                 own = 0
-                cx0 = int((x - rpad) * inv)
-                cx1 = int((x + rpad) * inv)
-                cy0 = int((y - rpad) * inv)
-                cy1 = int((y + rpad) * inv)
-                dxc = cx1 - cx0
-                dyc = cy1 - cy0
-                if dxc > 2 or dyc > 2:
-                    ks = tuple(
-                        cx * S + cy
-                        for cx in range(cx0, cx1 + 1)
-                        for cy in range(cy0, cy1 + 1)
-                    )
-                else:
-                    # spans of 1-3 cells per axis cover every window up to
-                    # 2*(r_max + pad) wide; literal tuples here are ~6x cheaper
-                    # than the genexpr (no generator frame per event)
-                    b0 = cx0 * S
-                    if dxc == 0:
-                        if dyc == 0:
-                            ks = (b0 + cy0,)
-                        elif dyc == 1:
-                            ks = (b0 + cy0, b0 + cy1)
-                        else:
-                            ks = (b0 + cy0, b0 + cy0 + 1, b0 + cy1)
-                    elif dxc == 1:
-                        b1 = b0 + S
-                        if dyc == 0:
-                            ks = (b0 + cy0, b1 + cy0)
-                        elif dyc == 1:
-                            ks = (b0 + cy0, b0 + cy1, b1 + cy0, b1 + cy1)
-                        else:
-                            cym = cy0 + 1
-                            ks = (
-                                b0 + cy0, b0 + cym, b0 + cy1,
-                                b1 + cy0, b1 + cym, b1 + cy1,
-                            )
-                    else:
-                        b1 = b0 + S
-                        b2 = b1 + S
-                        if dyc == 0:
-                            ks = (b0 + cy0, b1 + cy0, b2 + cy0)
-                        elif dyc == 1:
-                            ks = (
-                                b0 + cy0, b0 + cy1,
-                                b1 + cy0, b1 + cy1,
-                                b2 + cy0, b2 + cy1,
-                            )
-                        else:
-                            cym = cy0 + 1
-                            ks = (
-                                b0 + cy0, b0 + cym, b0 + cy1,
-                                b1 + cy0, b1 + cym, b1 + cy1,
-                                b2 + cy0, b2 + cym, b2 + cy1,
-                            )
-                for k in ks:
-                    bucket = get(k)
+                for ck in cell_keys(x, y, reach, inv):
+                    bucket = get(ck)
                     if bucket:
                         for v in bucket:
                             dx = xs[v] - x
                             dy = ys[v] - y
                             d2 = dx * dx + dy * dy
-                            if d2 <= r2:
+                            if d2 <= k and (k != G or covers(dx, dy, re)):
                                 counts[v] += 1
-                            rv = rs[v]
-                            if d2 <= rv * rv:
+                            kv = ks[v]
+                            if d2 <= kv and (
+                                kv != G or covers(dx, dy, eff(rs[v]))
+                            ):
                                 own += 1
                 xs[node] = x
                 ys[node] = y
                 rs[node] = r
+                ks[node] = k
                 counts[node] = own
                 active[node] = 1
                 n_active += 1
@@ -554,7 +424,7 @@ class StreamEngine:
            final active set (pass B), and recount the touched survivors'
            own coverage fresh (pass C) — each pass one fused array query
            over a :class:`~repro.geometry.spatial.GridIndex`, with the
-           engine's *exact* ``dx*dx + dy*dy <= r*r`` predicate;
+           scalar loop's squared-form predicate;
         3. commit: bincount deltas onto untouched victims, overwrite the
            touched nodes' state (Python floats, so snapshots and digests
            stay byte-identical to the scalar path), splice grid buckets.
@@ -563,7 +433,7 @@ class StreamEngine:
 
         cap = self.config.capacity
         r_max = self.config.r_max
-        xs, ys, rs = self.xs, self.ys, self.rs
+        xs, ys, rs, ks = self.xs, self.ys, self.rs, self.ks
         counts, active, grid = self.counts, self.active, self._grid
 
         # -- 1: validate by membership simulation (no mutation) ------------
@@ -663,17 +533,16 @@ class StreamEngine:
         # -- 2c: fresh own-counts for touched survivors --------------------
         own = np.zeros(len(t_fin), dtype=np.int64)
         if t_fin and index_f is not None:
-            # candidates within +-r_max of each survivor; covered iff the
-            # *candidate's* disk reaches (reverse direction of 2a/2b)
+            # candidates in the join window of each survivor; covered iff
+            # the *candidate's* disk reaches (reverse direction of 2a/2b)
             centers = np.column_stack((fx, fy))
             qq, cand = _candidate_pairs(
-                index_f, centers, np.full(len(t_fin), r_max)
+                index_f, centers, np.full(len(t_fin), self._reach)
             )
             if qq.size:
                 dx = pos_f[cand, 0] - centers[qq, 0]
                 dy = pos_f[cand, 1] - centers[qq, 1]
-                rc = r_f[cand]
-                keep = dx * dx + dy * dy <= rc * rc
+                keep = covers_squared_array(dx, dy, effective_radius(r_f), cand)
                 own += np.bincount(qq[keep], minlength=len(t_fin))
             own -= 1  # each survivor's own disk trivially covers itself
 
@@ -700,6 +569,7 @@ class StreamEngine:
                 xs[t] = x
                 ys[t] = y
                 rs[t] = r
+                ks[t] = squared_key(effective_radius(r))
                 mx[t] = x
                 my[t] = y
                 mr[t] = r
@@ -729,113 +599,92 @@ class StreamEngine:
                 f"radius {r} outside [0, r_max={self.config.r_max}]"
             )
 
-    def _apply_join(self, node, x, y, r, collect):
+    # -- the delta-collecting path (``apply(..., collect=True)``) ----------
+
+    def _apply_join(self, node, x, y, r):
         self._check_node(node)
         self._check_radius(r)
         if self.active[node]:
             raise StreamStateError(f"join of already-active node {node}")
         self._np = None
-        xs, ys, rs, counts = self.xs, self.ys, self.rs, self.counts
+        xs, ys, rs, ks, counts = self.xs, self.ys, self.rs, self.ks, self.counts
         inv = self._inv
         grid = self._grid
         get = grid.get
-        key = int(x * inv) * _GRID_STRIDE + int(y * inv)
-        r2 = r * r
+        re = effective_radius(r)
+        k = squared_key(re)
         own = 0
-        changed = [] if collect else None
-        # both delta directions are bounded by r_max, so scan the cells
-        # overlapping the ±r_max window around the join site
-        reach = self.config.r_max + self._pad
-        cx0, cx1 = int((x - reach) * inv), int((x + reach) * inv)
-        cy0, cy1 = int((y - reach) * inv), int((y + reach) * inv)
-        for cx in range(cx0, cx1 + 1):
-            base = cx * _GRID_STRIDE
-            for k in range(base + cy0, base + cy1 + 1):
-                bucket = get(k)
-                if not bucket:
-                    continue
-                for v in bucket:
-                    dx = xs[v] - x
-                    dy = ys[v] - y
-                    d2 = dx * dx + dy * dy
-                    if d2 <= r2:
-                        counts[v] += 1
-                        if collect:
-                            changed.append((v, counts[v]))
-                    rv = rs[v]
-                    if d2 <= rv * rv:
-                        own += 1
+        changed = []
+        # both delta directions are bounded by r_max: scan the join window
+        for ck in _cell_keys(x, y, self._reach, inv):
+            for v in get(ck, ()):
+                dx = xs[v] - x
+                dy = ys[v] - y
+                d2 = dx * dx + dy * dy
+                if d2 <= k and (k != SQ_GUARD or covers_squared(dx, dy, re)):
+                    counts[v] += 1
+                    changed.append((v, counts[v]))
+                kv = ks[v]
+                if d2 <= kv and (
+                    kv != SQ_GUARD or covers_squared(dx, dy, effective_radius(rs[v]))
+                ):
+                    own += 1
         xs[node] = x
         ys[node] = y
         rs[node] = r
+        ks[node] = k
         counts[node] = own
         self.active[node] = 1
         self.n_active += 1
-        bucket = get(key)
-        if bucket is None:
-            grid[key] = [node]
-        else:
-            bucket.append(node)
-        if collect:
-            changed.append((node, own))
+        grid.setdefault(int(x * inv) * _GRID_STRIDE + int(y * inv), []).append(node)
+        changed.append((node, own))
         return changed
 
-    def _apply_leave(self, node, collect):
+    def _apply_leave(self, node):
         self._check_node(node)
         if not self.active[node]:
             raise StreamStateError(f"leave of inactive node {node}")
         self._np = None
         xs, ys, counts = self.xs, self.ys, self.counts
-        x, y, r = xs[node], ys[node], self.rs[node]
+        x, y = xs[node], ys[node]
+        re = effective_radius(self.rs[node])
+        k = self.ks[node]
         inv = self._inv
         grid = self._grid
         get = grid.get
-        key = int(x * inv) * _GRID_STRIDE + int(y * inv)
-        grid[key].remove(node)
-        r2 = r * r
-        changed = [] if collect else None
+        grid[int(x * inv) * _GRID_STRIDE + int(y * inv)].remove(node)
+        changed = []
         # a leave only retracts the node's *own* coverage: the window is
-        # its own radius, usually tighter than r_max
-        reach = r + self._pad
-        cx0, cx1 = int((x - reach) * inv), int((x + reach) * inv)
-        cy0, cy1 = int((y - reach) * inv), int((y + reach) * inv)
-        for cx in range(cx0, cx1 + 1):
-            base = cx * _GRID_STRIDE
-            for k in range(base + cy0, base + cy1 + 1):
-                bucket = get(k)
-                if not bucket:
-                    continue
-                for v in bucket:
-                    dx = xs[v] - x
-                    dy = ys[v] - y
-                    if dx * dx + dy * dy <= r2:
-                        counts[v] -= 1
-                        if collect:
-                            changed.append((v, counts[v]))
+        # its own reach, usually tighter than r_max
+        for ck in _cell_keys(x, y, effective_radius(re), inv):
+            for v in get(ck, ()):
+                dx = xs[v] - x
+                dy = ys[v] - y
+                if dx * dx + dy * dy <= k and (
+                    k != SQ_GUARD or covers_squared(dx, dy, re)
+                ):
+                    counts[v] -= 1
+                    changed.append((v, counts[v]))
         counts[node] = 0
         self.rs[node] = 0.0
         self.active[node] = 0
         self.n_active -= 1
         return changed
 
-    def _apply_move(self, node, x, y, r, collect):
+    def _apply_move(self, node, x, y, r):
         self._check_node(node)
         if not self.active[node]:
             raise StreamStateError(f"move of inactive node {node}")
         if r is None:
             r = self.rs[node]
         self._check_radius(r)
-        if not collect:
-            self._apply_leave(node, False)
-            self._apply_join(node, x, y, r, False)
-            return None
         counts = self.counts
         # pre-move values of every node either half touches; leave/join
         # changed lists carry post-op values, so reconstruct by +-1
         pre = {node: counts[node]}
-        for v, c in self._apply_leave(node, True):
+        for v, c in self._apply_leave(node):
             pre.setdefault(v, c + 1)
-        for v, c in self._apply_join(node, x, y, r, True):
+        for v, c in self._apply_join(node, x, y, r):
             if v != node:
                 pre.setdefault(v, c - 1)
         return [
@@ -845,31 +694,23 @@ class StreamEngine:
     # -- from-scratch verification ----------------------------------------
 
     def recompute_counts(self, *, chunk: int = 512) -> np.ndarray:
-        """Independent vectorized recount over the whole universe.
+        """Independent from-scratch recount over the whole universe.
 
-        Uses the same IEEE arithmetic as the incremental path
-        (``dx*dx + dy*dy <= r*r`` in float64), so agreement is *exact*.
-        O(active^2) in ``chunk``-row blocks; verification-path only.
+        :func:`~repro.interference.coverage.covered_counts` over the
+        active set: the static kernels' ``hypot`` form of the shared
+        predicate, not the engine's own squared-form arithmetic, so
+        agreement checks the engine against the kernels. ``chunk`` is
+        accepted for compatibility; the kernel picks its own blocking.
+        Verification-path only.
         """
-        cap = self.config.capacity
         idx = np.flatnonzero(np.frombuffer(bytes(self.active), dtype=np.uint8))
-        out = np.zeros(cap, dtype=np.int64)
-        if idx.size == 0:
-            return out
-        px = np.asarray(self.xs, dtype=np.float64)[idx]
-        py = np.asarray(self.ys, dtype=np.float64)[idx]
-        pr = np.asarray(self.rs, dtype=np.float64)[idx]
-        r2 = pr * pr
-        acc = np.zeros(idx.size, dtype=np.int64)
-        for lo in range(0, idx.size, chunk):
-            hi = min(lo + chunk, idx.size)
-            dx = px[lo:hi, None] - px[None, :]
-            dy = py[lo:hi, None] - py[None, :]
-            d2 = dx * dx + dy * dy
-            cover = d2 <= r2[lo:hi, None]  # row u covers column v
-            acc += cover.sum(axis=0)
-        acc -= 1  # every node's own disk trivially covers its own position
-        out[idx] = acc
+        out = np.zeros(self.config.capacity, dtype=np.int64)
+        if idx.size:
+            pos = np.column_stack((
+                np.asarray(self.xs, dtype=np.float64)[idx],
+                np.asarray(self.ys, dtype=np.float64)[idx],
+            ))
+            out[idx] = covered_counts(pos, np.asarray(self.rs, dtype=np.float64)[idx])
         return out
 
     def state_digest(self) -> str:
@@ -922,6 +763,7 @@ class StreamEngine:
             engine.xs[i] = x
             engine.ys[i] = y
             engine.rs[i] = r
+            engine.ks[i] = squared_key(effective_radius(r))
             engine.counts[i] = int(c)
             engine.active[i] = 1
             grid.setdefault(

@@ -11,13 +11,17 @@ from repro.stream import (
     DurableStreamEngine,
     StreamConfig,
     StreamEngine,
+    StreamEvent,
     WalCorruption,
     latest_snapshot,
     list_segments,
     list_snapshots,
     random_stream_events,
+    scan_store,
     verify_stream_dir,
+    write_snapshot,
 )
+from repro.stream.snapshot import load_snapshot
 
 
 def config(**overrides) -> StreamConfig:
@@ -201,3 +205,69 @@ class TestCrashRecovery:
             DurableStreamEngine.create(tmp_path / "s", config())
         with pytest.raises(FileNotFoundError):
             DurableStreamEngine.open(tmp_path / "missing")
+
+
+class TestMetaFormat:
+    def set_meta(self, d, fmt):
+        meta = json.loads((d / "meta.json").read_text())
+        assert meta["format"] == 3  # what create writes
+        meta["format"] = fmt
+        (d / "meta.json").write_text(json.dumps(meta))
+
+    @pytest.mark.parametrize("fmt", [0, 4, 99, "3", 3.0, None, True])
+    def test_unknown_format_is_refused_with_file_and_value(self, tmp_path, fmt):
+        d = tmp_path / "s"
+        DurableStreamEngine.create(d, config()).close()
+        self.set_meta(d, fmt)
+        with pytest.raises(ValueError, match="meta.json") as err:
+            DurableStreamEngine.open(d)
+        assert repr(fmt) in str(err.value)
+
+    def test_format_2_snapshot_counts_are_recounted(self, tmp_path):
+        """Counts made under an older predicate are derived data: opening
+        a format-2 directory recounts every snapshot, keeps positions,
+        radii, seq and the log, and reaches the digest of a fresh replay
+        of its log."""
+        d = tmp_path / "s"
+        events = workload(400)
+        durable = DurableStreamEngine.create(d, config(compact="manual"))
+        durable.apply_batch(events)
+        durable.close()
+        snaps = list_snapshots(d)
+        assert len(snaps) >= 2
+        for _, path in snaps:
+            state = json.loads(load_snapshot(path))
+            for node in state["nodes"]:
+                node[4] += 1  # stale: not what the shared predicate counts
+            write_snapshot(d, state["seq"], json.dumps(state), fsync=False)
+        log_bytes = {s.path.name: s.path.read_bytes() for s in list_segments(d)}
+        self.set_meta(d, 2)
+
+        recovered = DurableStreamEngine.open(d)
+        fresh = StreamEngine(config())
+        for rec in scan_store(d, from_seq=1).records:
+            fresh.apply(StreamEvent.from_wal_record(rec)[1], collect=False)
+        assert recovered.engine.state_digest() == fresh.state_digest()
+        recovered.close()
+        assert json.loads((d / "meta.json").read_text())["format"] == 3
+        assert {s.path.name: s.path.read_bytes() for s in list_segments(d)} == log_bytes
+        for _, path in list_snapshots(d):
+            reopened = StreamEngine.from_state(
+                config(), json.loads(load_snapshot(path))
+            )
+            np.testing.assert_array_equal(
+                reopened.node_interference(), reopened.recompute_counts()
+            )
+        assert verify_stream_dir(d).ok
+
+    def test_format_1_and_2_open_without_snapshots(self, tmp_path):
+        for fmt in (1, 2):
+            d = tmp_path / f"s{fmt}"
+            events = workload(50)
+            durable = DurableStreamEngine.create(d, config(snapshot_every=0))
+            durable.apply_batch(events)
+            digest = durable.engine.state_digest()
+            durable.close()
+            self.set_meta(d, fmt)
+            with DurableStreamEngine.open(d) as recovered:
+                assert recovered.engine.state_digest() == digest
