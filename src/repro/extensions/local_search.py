@@ -109,11 +109,7 @@ def reduce_interference(
             adj[u].discard(v)
             adj[v].discard(u)
         for w in (u, v):
-            r = node_radius(adj, pos, w)
-            if adj[w]:
-                tracker.set_radius(w, r)
-            else:
-                tracker.deactivate(w)
+            tracker.set_radius(w, node_radius(adj, pos, w))
 
     best = objective()
     stale = 0

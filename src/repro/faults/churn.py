@@ -94,9 +94,9 @@ class ChurnEngine:
             self._adj[int(u)].add(int(v))
             self._adj[int(v)].add(int(u))
         self.tracker = InterferenceTracker(self.positions, rtol=rtol, atol=atol)
+        # every alive node is active, at radius 0 if it has no edge
         for u in range(initial.n):
-            if self._adj[u]:
-                self.tracker.set_radius(u, self._radius_of(u))
+            self.tracker.set_radius(u, self._radius_of(u))
         self._next_join = initial.n
         self.records: list[StabilityRecord] = []
         #: indices (into the schedule) of events skipped by the guard rails
@@ -111,17 +111,11 @@ class ChurnEngine:
     def _radius_of(self, u: int) -> float:
         return max((self._dist(u, v) for v in self._adj[u]), default=0.0)
 
-    def _refresh_radius(self, u: int) -> None:
-        if self._adj[u]:
-            self.tracker.set_radius(u, self._radius_of(u))
-        else:
-            self.tracker.deactivate(u)
-
     def _add_edge(self, u: int, v: int) -> None:
         self._adj[u].add(v)
         self._adj[v].add(u)
-        # grow_to both grows active radii and activates edge-less nodes
-        # (whose only edge is now this one, so its length is the radius)
+        # grow_to grows active radii and activates a joining node (whose
+        # only edge is now this one, so its length is the radius)
         d = self._dist(u, v)
         self.tracker.grow_to(u, d)
         self.tracker.grow_to(v, d)
@@ -291,7 +285,7 @@ class ChurnEngine:
         self.alive[victim] = False
         self.tracker.deactivate(victim)
         for nb in former:
-            self._refresh_radius(nb)
+            self.tracker.set_radius(nb, self._radius_of(nb))
         repaired = self._repair(former)
         if was_connected and not self.is_connected():  # pragma: no cover
             raise RuntimeError("repair failed to restore survivor connectivity")

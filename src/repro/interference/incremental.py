@@ -40,15 +40,12 @@ class InterferenceTracker:
         self._atol = float(atol)
         self._radii = np.zeros(self.n, dtype=np.float64)
         self._counts = np.zeros(self.n, dtype=np.int64)
-        #: nodes with at least one incident edge (radius-0 via an edge to a
-        #: coincident node still covers that node; radius-0 with no edge
-        #: covers nobody)
+        #: alive nodes. An active node covers by its radius, so at radius 0
+        #: it still covers a coincident node, as in the static kernels; an
+        #: inactive one (departed, or not yet joined) covers nobody
         self._active = np.zeros(self.n, dtype=bool)
         if radii is not None:
-            radii = check_radii(radii, self.n)
-            for u in range(self.n):
-                if radii[u] > 0:
-                    self.set_radius(u, float(radii[u]))
+            self.load_radii(radii)
 
     # -- queries ---------------------------------------------------------
     @property
@@ -89,7 +86,7 @@ class InterferenceTracker:
         self._active[u] = True
 
     def deactivate(self, u: int) -> None:
-        """Drop ``u`` to an edge-less state (covers nobody)."""
+        """Remove ``u`` (a departed node): it covers nobody."""
         obs.count("tracker.updates")
         old = self._covered_by(u, self._radii[u], self._active[u])
         self._counts[old] -= 1
@@ -124,21 +121,16 @@ class InterferenceTracker:
     # -- bulk -----------------------------------------------------------------
     @classmethod
     def from_topology(cls, topology: Topology, **kwargs) -> "InterferenceTracker":
-        tracker = cls(topology.positions, **kwargs)
-        radii = topology.radii
-        degrees = topology.degrees
-        for u in range(topology.n):
-            if degrees[u] > 0:
-                tracker.set_radius(u, float(radii[u]))
-        return tracker
+        """Every node active at its radius (0 for a degree-0 node)."""
+        return cls(topology.positions, topology.radii, **kwargs)
 
     def load_radii(self, radii, active=None) -> None:
-        """Replace the whole radius vector (O(n^2) total)."""
+        """Replace the whole radius vector (O(n^2) total); ``active``
+        (default: every node) marks the alive nodes, the rest are
+        deactivated."""
         radii = check_radii(radii, self.n)
-        if active is None:
-            active = radii > 0
         for u in range(self.n):
-            if active[u]:
+            if active is None or active[u]:
                 self.set_radius(u, float(radii[u]))
             else:
                 self.deactivate(u)

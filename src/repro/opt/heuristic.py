@@ -101,11 +101,7 @@ def _anneal(udg: Topology, *, seed, steps: int | None = None) -> Topology:
             adj[u].discard(v)
             adj[v].discard(u)
         for w in (u, v):
-            r = node_radius(adj, pos, w)
-            if adj[w]:
-                tracker.set_radius(w, r)
-            else:
-                tracker.deactivate(w)
+            tracker.set_radius(w, node_radius(adj, pos, w))
 
     current = scalar_objective()
     best = current

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.faults import ChurnEngine, ChurnSchedule
 from repro.geometry.generators import (
     exponential_chain,
@@ -73,7 +74,9 @@ def _stream_engines(topo):
         per_event.apply(event)
     bulk = StreamEngine(config)
     bulk.apply(events[0])
-    assert bulk._apply_many_bulk(events[1:]) is not None
+    with obs.capture() as registry:
+        assert bulk._apply_many_bulk(events[1:]) is not None
+    assert registry.counters.get("stream.bulk.batches", 0) == 1
     return per_event, bulk
 
 
@@ -128,21 +131,28 @@ def test_registry_topologies_on_random_udgs(n, seed, algorithm):
     n=st.integers(2, 40),
     copies=st.integers(1, 6),
     seed=st.integers(0, 2**16),
-    algorithm=st.sampled_from(("nnf", "emst", "xtc")),
+    algorithm=st.sampled_from(ALGORITHMS),
 )
 @PARITY
 def test_coincident_nodes(n, copies, seed, algorithm):
     """Zero-length edges: a node whose only neighbour is its twin has
-    radius 0 and still covers that twin. (Gabriel is left out: it drops
-    every edge at a coincident pair, and the tracker treats a degree-0
-    node as silent where the radius-only layers let radius 0 cover
-    distance 0.)"""
+    radius 0 and still covers that twin. Gabriel drops every edge at a
+    coincident pair, so it also makes degree-0 nodes with a twin: radius
+    0, and still covering the twin in every layer."""
     pos = _random_udg(n, seed)
     rng = np.random.default_rng(seed)
     dup = pos[rng.integers(0, n, size=copies)]
     udg = unit_disk_graph(np.concatenate([pos, dup]), unit=1.0)
-    topo = build(algorithm, udg)
-    assert topo.degrees.min() > 0
+    assert_parity(build(algorithm, udg))
+
+
+def test_isolated_coincident_twins():
+    """Gabriel over three copies of one point plus a distant pair: the
+    copies lose every edge, keep radius 0 and cover each other."""
+    pos = np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0], [5.5, 5.0]])
+    topo = build("gabriel", unit_disk_graph(pos, unit=1.0))
+    assert topo.degrees[:3].tolist() == [0, 0, 0]
+    assert node_interference(topo).tolist() == [2, 2, 2, 1, 1]
     assert_parity(topo)
 
 

@@ -160,6 +160,21 @@ class TestApi:
         tr.load_radii(t.radii, active=t.degrees > 0)
         np.testing.assert_array_equal(tr.node_interference(), node_interference(t))
 
+    def test_load_radii_default_keeps_zero_radius_active(self):
+        """Every node is alive unless ``active`` says otherwise: radius 0
+        still covers a coincident node, as in ``node_interference``."""
+        pos = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+        tr = InterferenceTracker(pos)
+        tr.load_radii([0.0, 0.0, 0.0])
+        assert tr.node_interference().tolist() == [1, 1, 0]
+        tr.load_radii([0.0, 0.0, 0.0], active=[True, False, True])
+        assert tr.node_interference().tolist() == [0, 1, 0]
+        isolated = Topology(pos, np.empty((0, 2), dtype=np.int64))
+        np.testing.assert_array_equal(
+            InterferenceTracker.from_topology(isolated).node_interference(),
+            node_interference(isolated),
+        )
+
     def test_copy_independent(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         a = InterferenceTracker(pos)
